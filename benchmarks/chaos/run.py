@@ -10,16 +10,18 @@ Usage (from the repo root)::
 The gates (docs/robustness.md, enforced by the ``chaos-smoke`` CI job):
 
 * **zero silent corruption** — no run may complete with a payload that
-  differs from the clean-run / survivor oracle;
+  differs from the analytic / survivor oracle, and no ``none`` row may
+  finish at a different instant than its clean run;
 * **zero undiagnosed hangs** — every run that cannot complete must
   raise a typed :class:`FaultDiagnosis`, never a bare deadlock;
-* **profile contracts** — delay-only profiles (baseline/jitter/
-  slowdown) and crash-shrink must complete ``ok``; drop/crash profiles
-  may be ``ok`` or ``diagnosed``.
+* **profile contracts** — delay-only profiles (none/jitter/slowdown)
+  and crash-shrink must complete ``ok``; drop/crash profiles may be
+  ``ok`` or ``diagnosed-fault``.
 
 The committed ``CHAOS_report.json`` is the full-grid run (210 seeded
-cases); schedules derive from string-seeded RNGs, so a re-run
-reproduces the same faults everywhere.
+cases); its records are :func:`repro.chaos.executor.execute_case`
+records, the row id in ``case.origin``.  Schedules derive from
+string-seeded RNGs, so a re-run reproduces the same faults everywhere.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ import os
 import sys
 import time
 
-from .cases import ALLOWED, GRIDS, case_id, run_case, run_case_entry
+from .cases import ALLOWED, GRIDS, run_case_entry
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _REPO = os.path.dirname(os.path.dirname(_HERE))
 DEFAULT_OUTPUT = os.path.join(_REPO, "CHAOS_report.json")
-
-FATAL_OUTCOMES = ("silent-corruption", "undiagnosed-hang")
 
 
 def evaluate(records) -> dict:
@@ -44,9 +44,10 @@ def evaluate(records) -> dict:
     counts = {}
     violations = []
     for rec in records:
-        counts[rec["outcome"]] = counts.get(rec["outcome"], 0) + 1
-        if rec["outcome"] not in ALLOWED[rec["profile"]]:
-            violations.append(rec["id"])
+        verdict, case = rec["verdict"], rec["case"]
+        counts[verdict] = counts.get(verdict, 0) + 1
+        if verdict not in ALLOWED[case["profile"]]:
+            violations.append(case["origin"])
     gates = {
         "zero_silent_corruption":
             counts.get("silent-corruption", 0) == 0,
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="exit nonzero if any gate fails")
     ap.add_argument("--verbose", action="store_true",
-                    help="print one line per case as it runs")
+                    help="print one line per case")
     ap.add_argument("--workers", type=int, default=None,
                     help="shard the grid across this many processes "
                          "(schedules are string-seeded per case, and the "
@@ -84,17 +85,12 @@ def main(argv=None) -> int:
         from repro.analysis.parallel import parallel_map
         records = parallel_map(run_case_entry, cases,
                                workers=args.workers)
-        if args.verbose:
-            for rec in records:
-                print(f"  {rec['id']:50s} {rec['outcome']}", flush=True)
     else:
-        records = []
-        for topo, op, profile, seed in cases:
-            rec = run_case(topo, op, profile, seed)
-            records.append(rec)
-            if args.verbose:
-                print(f"  {rec['id']:50s} {rec['outcome']}", flush=True)
+        records = [run_case_entry(case) for case in cases]
     wall = time.perf_counter() - t0
+    if args.verbose:
+        for rec in records:
+            print(f"  {rec['case']['origin']:50s} {rec['verdict']}")
 
     summary = evaluate(records)
     report = {
@@ -110,8 +106,8 @@ def main(argv=None) -> int:
 
     print(f"chaos[{args.grid}]: {len(records)} cases in {wall:.1f}s "
           f"-> {args.output}")
-    for outcome, n in sorted(summary["counts"].items()):
-        print(f"  {outcome:20s} {n}")
+    for verdict, n in sorted(summary["counts"].items()):
+        print(f"  {verdict:20s} {n}")
     for gate, ok in summary["gates"].items():
         print(f"  gate {gate:28s} {'PASS' if ok else 'FAIL'}")
     if summary["violations"]:

@@ -147,7 +147,7 @@ class CellResult:
 
 def cell_environment(shape: Tuple):
     """(topology, group, p) of a sweep-grid shape."""
-    from ..sim.topology import LinearArray, Mesh2D
+    from ..core.topology import LinearArray, Mesh2D
     kind = shape[0]
     if kind == "line":
         return LinearArray(shape[1]), None, shape[1]
@@ -272,7 +272,7 @@ def _sweep_cell(task: Tuple[str, Tuple, int, str]) -> CellResult:
     """Picklable worker for the parallel sweep: one grid cell, with
     the params rebuilt from the preset name inside the worker."""
     operation, shape, n, params_name = task
-    from ..sim.params import preset
+    from ..core.params import preset
     return audit_cell(operation, shape, n, preset(params_name))
 
 
@@ -565,8 +565,8 @@ def build_audit(grid_name="smoke", params_name: str = "paragon",
     """
     from ..obs.audit import (BUILDING_BLOCKS, drift_from_runs,
                              run_block_primitive, verify_building_blocks)
-    from ..sim.params import preset
-    from ..sim.topology import Mesh2D
+    from ..core.params import preset
+    from ..core.topology import Mesh2D
 
     params = preset(params_name)
     grid = GRIDS[grid_name] if isinstance(grid_name, str) else grid_name

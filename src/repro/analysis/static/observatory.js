@@ -31,14 +31,6 @@ function regretColor(r) {
   return `rgb(${mix[0]},${mix[1]},${mix[2]})`;
 }
 
-const OUTCOME_COLORS = {
-  ok: "#34a35f",
-  diagnosed: "#5b9dd9",
-  corrupt: "#c54545",
-  undiagnosed: "#c54545",
-  hang: "#c9a227",
-};
-
 async function fetchJson(url) {
   const res = await fetch(url);
   if (!res.ok) throw new Error(`${url}: HTTP ${res.status}`);
@@ -313,27 +305,27 @@ function renderChaos(container, report) {
     `${v ? "PASS" : "FAIL"}</span>`).join(" &middot; ");
   stat.innerHTML = `${report.cases} cases, ` +
     `${(report.counts || {}).ok || 0} clean, ` +
-    `${(report.counts || {}).diagnosed || 0} diagnosed, ` +
+    `${(report.counts || {})["diagnosed-fault"] || 0} diagnosed, ` +
     `${(report.violations || []).length} violations &middot; ${gateHtml}`;
   container.appendChild(stat);
 
   const byProfile = new Map();
   for (const rec of report.records || []) {
-    if (!byProfile.has(rec.profile)) byProfile.set(rec.profile, []);
-    byProfile.get(rec.profile).push(rec);
+    const profile = rec.case.profile;
+    if (!byProfile.has(profile)) byProfile.set(profile, []);
+    byProfile.get(profile).push(rec);
   }
   for (const [profile, recs] of byProfile) {
     container.appendChild(el("h3", "",
       `${profile} (${recs.length} cases)`));
     const grid = el("div", "verdicts");
     for (const rec of recs) {
+      const events = (rec.case.faults.events || []).map((e) => e.kind);
       const cell = el("div", "cell");
-      cell.style.background =
-        OUTCOME_COLORS[rec.outcome] || "#c54545";
-      cell.title = `${rec.id}\noutcome: ${rec.outcome}\n` +
-        `schedule: ${rec.schedule}\nt=${fmt(rec.time)}s` +
-        (rec.t_clean !== undefined
-          ? ` (clean ${fmt(rec.t_clean)}s)` : "");
+      cell.style.background = VERDICT_COLORS[rec.verdict] || "#c54545";
+      cell.title = `${rec.case.origin}\nverdict: ${rec.verdict}\n` +
+        `faults: ${events.join(", ") || "none"}` +
+        (rec.sim_time != null ? `\nt=${fmt(rec.sim_time)}s` : "");
       grid.appendChild(cell);
     }
     container.appendChild(grid);

@@ -1,11 +1,13 @@
-"""Coverage-guided chaos autopilot (docs/robustness.md, section 6).
+"""The chaos harness and its coverage-guided autopilot
+(docs/robustness.md, sections 4-5).
 
-The fixed 210-case grid in ``benchmarks/chaos/`` can only find failures
-someone enumerated.  This package is the generative half of the
-robustness story: a seeded **generator** samples random topologies,
-collectives, group shapes, payload dtypes/sizes and fault schedules —
-including the Byzantine-model adversaries of :mod:`repro.sim.faults` —
-an **executor** classifies every case against analytic oracles (and a
+The fixed 210-case grid in ``benchmarks/chaos/cases.py`` is a list of
+:class:`ChaosCase` rows run by this package's executor and oracles; it
+can only find failures someone enumerated.  The autopilot is the
+generative half of the robustness story: a seeded **generator**
+samples random topologies, collectives, group shapes, payload
+dtypes/sizes and fault schedules — including the Byzantine-model
+adversaries of :mod:`repro.sim.faults` — an **executor** classifies every case against analytic oracles (and a
 real-process slice), a persistent **corpus store** keeps every case
 keyed by hash with a coverage signature biasing generation toward
 unexplored cells, and an **auto-minimizer** delta-debugs failing cases
@@ -23,7 +25,7 @@ serializes canonically — same seed, same bytes.
 from .corpus import CorpusStore
 from .executor import (FATAL_VERDICTS, FINDING_VERDICTS, VERDICTS,
                        execute_case)
-from .generator import CaseGenerator, ChaosCase, build_topology
+from .generator import CaseGenerator, ChaosCase, build_topology, with_faults
 from .minimize import minimize_case, plant_case
 from .oracles import case_vec, clean_run, expected_results, make_program
 
@@ -31,5 +33,5 @@ __all__ = [
     "CaseGenerator", "ChaosCase", "CorpusStore", "FATAL_VERDICTS",
     "FINDING_VERDICTS", "VERDICTS", "build_topology", "case_vec",
     "clean_run", "execute_case", "expected_results", "make_program",
-    "minimize_case", "plant_case",
+    "minimize_case", "plant_case", "with_faults",
 ]

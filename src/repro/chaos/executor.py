@@ -15,8 +15,9 @@ on the simulator, checks the outcome against the analytic oracles of
     tamper is a diagnosis, never a silent failure);
 ``silent-corruption``
     payloads mismatch and nothing in the fault report explains it — the
-    library returned wrong answers without telling anyone.  Always a
-    bug;
+    library returned wrong answers without telling anyone — or a
+    ``none`` case, run with its empty schedule, finishes at a different
+    instant than its clean run.  Always a bug;
 ``undiagnosed-hang``
     the run died with an untyped error (bare deadlock, engine event
     limit, rank crash) under a schedule that injected faults — the
@@ -47,7 +48,7 @@ from repro.sim import (DeadlockError, FaultDiagnosis, Machine,
                        SimulationLimitError, preset)
 
 from .generator import ChaosCase
-from .oracles import make_program, mismatched_ranks
+from .oracles import clean_run, make_program, mismatched_ranks
 
 VERDICTS = ("ok", "diagnosed-fault", "silent-corruption",
             "undiagnosed-hang", "sim-runtime-divergence", "regret-outlier")
@@ -158,11 +159,11 @@ def execute_case(case: ChaosCase, *, runtime_slice: bool = False,
     """
     record: Dict = {"id": case.case_hash, "case": case.to_dict(),
                     "verdict": None, "sim_time": None}
-    schedule = case.schedule()
     machine = Machine(case.topology(), preset(case.params))
     try:
-        run = machine.run(make_program(case),
-                          faults=None if schedule.is_empty else schedule)
+        # the schedule is threaded even when empty: a ``none`` case then
+        # doubles as a passivity probe of the fault layer
+        run = machine.run(make_program(case), faults=case.schedule())
     except FaultDiagnosis as exc:
         record["verdict"] = "diagnosed-fault"
         record["diagnosis"] = exc.to_dict()
@@ -201,6 +202,13 @@ def execute_case(case: ChaosCase, *, runtime_slice: bool = False,
             record["verdict"] = "silent-corruption"
         return record
 
+    if case.profile == "none":
+        t_clean, _ = clean_run(case)
+        if repr(run.time) != repr(t_clean):
+            # an empty schedule must pin the clock, not just the payloads
+            record["verdict"] = "silent-corruption"
+            record["time_drift"] = [repr(t_clean), repr(run.time)]
+            return record
     verdict = "ok"
     if audit and case.profile == "none" and case.group is None:
         v = _check_regret(case, record, run.time, regret_threshold)

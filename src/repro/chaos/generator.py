@@ -15,38 +15,36 @@ exercised yet: up to ``_BIAS_REDRAWS`` redraws per case, taking the
 first unexplored cell (all draws come from the same private stream, so
 the bias is itself deterministic).
 
-Fault schedules are scaled to the case's *clean* simulated duration
-(the simulator is deterministic, so ``t_clean`` is a pure function of
-the case config), mirroring the fixed grid in
-``benchmarks/chaos/cases.py``.
+Fault schedules come from :func:`repro.sim.faults.profile_schedule`,
+scaled to the case's *clean* simulated duration (the simulator is
+deterministic, so ``t_clean`` is a pure function of the case config);
+:func:`with_faults` is the one place a case gets its schedule, for the
+generator and the fixed grid in ``benchmarks/chaos/cases.py`` alike.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.sim import (FaultSchedule, Hypercube, LinearArray, Mesh2D, Ring,
                        Torus2D, preset)
-from repro.sim.faults import (ByzantineRank, LinkFault, LinkSlowdown,
-                              MisroutingRank, NodeCrash, WithholdingRank)
+from repro.sim.faults import profile_schedule
 
 #: every topology class the generator samples (the coverage axis)
 TOPO_CLASSES = ("linear", "ring", "mesh", "torus", "hypercube")
 
 OPS = ("bcast", "reduce", "allreduce", "collect", "reduce_scatter")
 
-#: fault profiles (the coverage fault-type axis).  The first six mirror
-#: the fixed grid; the last three are the Byzantine-model adversaries.
+#: fault profiles (the coverage fault-type axis): every profile of
+#: :data:`repro.sim.faults.FAULT_PROFILES` but the fixed grid's
+#: ``crash-shrink``.  The order is part of the seeded draw.
 PROFILES = ("none", "jitter", "slowdown", "link-permanent",
             "link-transient", "crash", "byzantine", "withholding",
             "misrouting")
-
-ADVERSARIAL_PROFILES = ("byzantine", "withholding", "misrouting")
 
 DTYPES = ("float64", "float32", "int64", "int32")
 
@@ -133,9 +131,14 @@ class ChaosCase:
         return FaultSchedule.from_dict(self.faults)
 
     def members(self) -> Tuple[int, ...]:
-        """The ranks participating in the collective."""
-        return self.group if self.group is not None \
+        """The ranks participating in the collective: under
+        ``crash-shrink``, the survivors of the scheduled crash."""
+        members = self.group if self.group is not None \
             else tuple(range(self.nranks))
+        if self.profile == "crash-shrink":
+            dead = self.schedule().crashed_nodes()
+            members = tuple(m for m in members if m not in dead)
+        return members
 
     def config_key(self) -> Tuple:
         """Identity of the fault-free configuration (clean-run cache key)."""
@@ -235,9 +238,8 @@ class CaseGenerator:
                          dtype=dtype, group=group, profile=profile,
                          faults={},
                          origin=f"seed={self.seed}/case={self._count}")
-        faults = self._sample_faults(case)
         self._count += 1
-        return replace(case, faults=faults)
+        return with_faults(case, rng)
 
     def _sample_topo(self, topo_class: str, min_p: int) -> Tuple:
         rng = self._rng
@@ -264,65 +266,16 @@ class CaseGenerator:
         start = rng.randint(0, p - 1 - stride * (size - 1))
         return tuple(start + stride * i for i in range(size))
 
-    # -- fault schedules ------------------------------------------------
 
-    def _sample_faults(self, case: ChaosCase) -> Dict:
-        """Build the profile's schedule, scaled to the clean duration."""
-        from .oracles import clean_run
+def with_faults(case: ChaosCase, rng: random.Random) -> ChaosCase:
+    """``case`` with its profile's schedule drawn from ``rng``, scaled
+    to the case's fault-free duration (``none`` draws nothing)."""
+    if case.profile == "none":
+        return case
+    from .oracles import clean_run
 
-        rng = self._rng
-        profile = case.profile
-        if profile == "none":
-            return {}
-        p = case.nranks
-        alpha = preset(case.params).alpha
-        t_clean, _ = clean_run(case)
-        deadline = 5000.0 * t_clean + (1 << 16) * alpha
-        if profile == "jitter":
-            sched = FaultSchedule(jitter=alpha * rng.uniform(0.5, 3.0),
-                                  seed=rng.randrange(2 ** 31),
-                                  deadline=deadline)
-        elif profile == "slowdown":
-            u, v = self._sample_channel(case)
-            sched = FaultSchedule(
-                events=(LinkSlowdown(t=rng.uniform(0.0, 0.5) * t_clean,
-                                     u=u, v=v,
-                                     factor=rng.uniform(2.0, 8.0)),),
-                deadline=deadline)
-        elif profile == "link-permanent":
-            u, v = self._sample_channel(case)
-            sched = FaultSchedule(
-                events=(LinkFault(t=rng.uniform(0.0, 0.8) * t_clean,
-                                  u=u, v=v),),
-                deadline=deadline)
-        elif profile == "link-transient":
-            u, v = self._sample_channel(case)
-            sched = FaultSchedule(
-                events=(LinkFault(
-                    t=rng.uniform(0.0, 0.8) * t_clean, u=u, v=v,
-                    duration=rng.uniform(0.5, 1.5) * t_clean),),
-                max_retries=14, deadline=deadline)
-        elif profile == "crash":
-            sched = FaultSchedule(
-                events=(NodeCrash(t=rng.uniform(0.0, 0.9) * t_clean,
-                                  node=rng.randrange(p)),),
-                deadline=deadline)
-        elif profile in ADVERSARIAL_PROFILES:
-            cls = {"byzantine": ByzantineRank,
-                   "withholding": WithholdingRank,
-                   "misrouting": MisroutingRank}[profile]
-            members = case.members()
-            sched = FaultSchedule(
-                events=(cls(rank=rng.choice(members),
-                            every=rng.choice((1, 2, 3)),
-                            start=rng.choice((0, 1))),),
-                seed=rng.randrange(2 ** 31),
-                deadline=deadline)
-        else:  # pragma: no cover
-            raise ValueError(profile)
-        return sched.to_dict()
-
-    def _sample_channel(self, case: ChaosCase) -> Tuple[int, int]:
-        """A physical directed channel of the case's topology."""
-        channels = sorted(set(case.topology().channels()))
-        return self._rng.choice(channels)
+    t_clean, _ = clean_run(case)
+    sched = profile_schedule(case.profile, rng, case.topology(),
+                             preset(case.params).alpha, t_clean,
+                             case.members())
+    return replace(case, faults=sched.to_dict())

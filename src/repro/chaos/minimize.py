@@ -31,7 +31,8 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim import FaultSchedule, preset
-from repro.sim.faults import (ByzantineRank, NodeCrash, WithholdingRank)
+from repro.sim.faults import (ByzantineRank, NodeCrash, WithholdingRank,
+                              fault_deadline)
 
 from .executor import execute_case
 from .generator import ChaosCase, topo_nranks
@@ -266,43 +267,29 @@ def plant_case(kind: str, seed: int = 0) -> ChaosCase:
 
     Used by the CI reproducer gate and the tests: plants produce a
     ``diagnosed-fault`` verdict on worlds well above the minimizer's
-    <= 4 rank target, so minimization has real work to do.
+    <= 4 rank target, so minimization has real work to do.  Their
+    schedules are pinned by hand, with the profiled watchdog deadline.
     """
-    if kind == "crash":
-        base = ChaosCase(topo=("linear", 12), params="paragon",
-                         op="bcast", n=64, dtype="float64", group=None,
-                         profile="crash", faults={},
-                         origin=f"plant/crash/{seed}")
-        t_clean, _ = clean_run(base)
-        sched = FaultSchedule(
-            events=(NodeCrash(t=0.25 * t_clean, node=9),),
-            deadline=5000.0 * t_clean
-            + (1 << 16) * preset(base.params).alpha)
-        return replace(base, faults=sched.to_dict())
-    if kind == "byzantine":
-        base = ChaosCase(topo=("ring", 8), params="paragon",
-                         op="allreduce", n=64, dtype="float64",
-                         group=None, profile="byzantine", faults={},
-                         origin=f"plant/byzantine/{seed}")
-        t_clean, _ = clean_run(base)
-        sched = FaultSchedule(
-            events=(ByzantineRank(rank=5),), seed=seed,
-            deadline=5000.0 * t_clean
-            + (1 << 16) * preset(base.params).alpha)
-        return replace(base, faults=sched.to_dict())
-    if kind == "withholding":
-        base = ChaosCase(topo=("ring", 8), params="paragon",
-                         op="reduce", n=32, dtype="float64",
-                         group=None, profile="withholding", faults={},
-                         origin=f"plant/withholding/{seed}")
-        t_clean, _ = clean_run(base)
-        sched = FaultSchedule(
-            events=(WithholdingRank(rank=3),), seed=seed,
-            deadline=5000.0 * t_clean
-            + (1 << 16) * preset(base.params).alpha)
-        return replace(base, faults=sched.to_dict())
-    raise ValueError(f"unknown plant kind {kind!r}; expected one of "
-                     f"{sorted(PLANT_KINDS)}")
+    if kind not in PLANT_KINDS:
+        raise ValueError(f"unknown plant kind {kind!r}; expected one of "
+                         f"{sorted(PLANT_KINDS)}")
+    topo, op, n, event, sched_seed = {
+        "crash": (("linear", 12), "bcast", 64, None, 0),
+        "byzantine": (("ring", 8), "allreduce", 64,
+                      ByzantineRank(rank=5), seed),
+        "withholding": (("ring", 8), "reduce", 32,
+                        WithholdingRank(rank=3), seed),
+    }[kind]
+    base = ChaosCase(topo=topo, params="paragon", op=op, n=n,
+                     dtype="float64", group=None, profile=kind, faults={},
+                     origin=f"plant/{kind}/{seed}")
+    t_clean, _ = clean_run(base)
+    if event is None:
+        event = NodeCrash(t=0.25 * t_clean, node=9)
+    sched = FaultSchedule(
+        events=(event,), seed=sched_seed,
+        deadline=fault_deadline(t_clean, preset(base.params).alpha))
+    return replace(base, faults=sched.to_dict())
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,8 @@
-"""Programs and validation oracles for generated chaos cases.
+"""Programs and validation oracles for chaos cases.
 
-The generated analogue of the fixed grid's program/oracle pair in
-``benchmarks/chaos/cases.py``, generalized over group shape and dtype.
+One program/oracle pair for every chaos case — generated by the
+autopilot or enumerated by the fixed grid in
+``benchmarks/chaos/cases.py`` — over any group shape and dtype.
 Input vectors are a pure function of the member's *logical* index, the
 length and the dtype — values stay small (< 139) so integer dtypes
 never wrap and float32 sums stay exact — which keeps the oracle
@@ -15,11 +16,13 @@ within tolerance and integer results exactly.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import api
+from repro.core.communicator import Communicator
 from repro.core.partition import partition_sizes
 from repro.sim import Machine, preset
 
@@ -36,36 +39,54 @@ def case_vec(me: int, n: int, dtype: str) -> np.ndarray:
 
 
 def make_program(case: ChaosCase, algorithm="auto"):
-    """The case's collective as an SPMD rank program (both backends)."""
+    """The case's collective as an SPMD rank program (both backends).
+
+    Under ``crash-shrink`` every rank first waits out the scheduled
+    crash, shrinks its communicator to the survivors
+    (:meth:`~repro.core.communicator.Communicator.shrink`) and runs the
+    same op body there.
+    """
     op, n, dtype = case.op, case.n, case.dtype
     group = list(case.group) if case.group is not None else None
+    shrink_after = None
+    if case.profile == "crash-shrink":
+        shrink_after = 2.0 * max((ev.t for ev in case.schedule().events),
+                                 default=0.0)
 
     def prog(env):
         g = group
         if g is not None and env.rank not in g:
             return None
-        me = g.index(env.rank) if g is not None else env.rank
-        size = len(g) if g is not None else env.nranks
+        ctx = env
+        if shrink_after is not None:
+            comm = Communicator(env, g)
+            yield env.delay(shrink_after)
+            comm = comm.shrink()
+            ctx, g = comm.ctx, None
+            me, size = comm.rank, comm.size
+        else:
+            me = g.index(env.rank) if g is not None else env.rank
+            size = len(g) if g is not None else env.nranks
         if op == "bcast":
             buf = case_vec(0, n, dtype) if me == 0 else None
-            out = yield from api.bcast(env, buf, root=0, total=n, group=g,
+            out = yield from api.bcast(ctx, buf, root=0, total=n, group=g,
                                        dtype=dtype, algorithm=algorithm)
         elif op == "reduce":
-            out = yield from api.reduce(env, case_vec(me, n, dtype),
+            out = yield from api.reduce(ctx, case_vec(me, n, dtype),
                                         op="sum", root=0, group=g,
                                         dtype=dtype, algorithm=algorithm)
         elif op == "allreduce":
-            out = yield from api.allreduce(env, case_vec(me, n, dtype),
+            out = yield from api.allreduce(ctx, case_vec(me, n, dtype),
                                            op="sum", group=g, dtype=dtype,
                                            algorithm=algorithm)
         elif op == "collect":
             sizes = partition_sizes(n, size)
-            out = yield from api.collect(env, case_vec(me, sizes[me],
+            out = yield from api.collect(ctx, case_vec(me, sizes[me],
                                                        dtype),
                                          sizes=sizes, group=g, dtype=dtype,
                                          algorithm=algorithm)
         elif op == "reduce_scatter":
-            out = yield from api.reduce_scatter(env, case_vec(me, n, dtype),
+            out = yield from api.reduce_scatter(ctx, case_vec(me, n, dtype),
                                                 op="sum", group=g,
                                                 dtype=dtype,
                                                 algorithm=algorithm)
@@ -149,11 +170,13 @@ def clean_run(case: ChaosCase) -> Tuple[float, list]:
     Deterministic (the simulator is), so schedule construction can
     scale event times by it without breaking replayability.  Cached per
     :meth:`ChaosCase.config_key` — the generator and the executor share
-    one run per configuration.
+    one run per configuration.  The run is the plain op body, whatever
+    the case's profile.
     """
     key = case.config_key()
     if key not in _CLEAN_CACHE:
         machine = Machine(build_topology(case.topo), preset(case.params))
-        run = machine.run(make_program(case))
+        run = machine.run(make_program(replace(case, profile="none",
+                                               faults={})))
         _CLEAN_CACHE[key] = (run.time, run.results)
     return _CLEAN_CACHE[key]

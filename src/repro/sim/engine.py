@@ -52,13 +52,13 @@ from collections import defaultdict, deque
 
 import numpy as np
 
+from ..core.params import MachineParams
 from ..core.protocol import (CommHandle, _Delay, _Request, _WaitGroup,
                              payload_nbytes)
+from ..core.topology import Topology
 from .faults import (DeadLetter, FaultDiagnosis, FaultSchedule, FaultState,
                      LinkFault, LinkSlowdown, NodeCrash)
 from .network import FluidNetwork
-from .params import MachineParams
-from .topology import Topology
 from .trace import MessageRecord, Tracer
 
 # Backward-compatibility re-exports: the request protocol (CommHandle,

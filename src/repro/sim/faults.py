@@ -420,6 +420,76 @@ class FaultSchedule:
 
 
 # ----------------------------------------------------------------------
+# named fault profiles (the one profile -> schedule builder)
+# ----------------------------------------------------------------------
+
+_ADVERSARY_PROFILES = {"byzantine": ByzantineRank,
+                       "withholding": WithholdingRank,
+                       "misrouting": MisroutingRank}
+
+#: every profile :func:`profile_schedule` builds
+FAULT_PROFILES = ("none", "jitter", "slowdown", "link-permanent",
+                  "link-transient", "crash", "crash-shrink",
+                  *_ADVERSARY_PROFILES)
+
+
+def fault_deadline(t_clean: float, alpha: float) -> float:
+    """The watchdog deadline of a profiled schedule: far beyond any
+    fault-delayed completion, so only a genuine hang reaches it."""
+    return 5000.0 * t_clean + (1 << 16) * alpha
+
+
+def profile_schedule(profile: str, rng: random.Random, topology,
+                     alpha: float, t_clean: float,
+                     members: Sequence[int]) -> FaultSchedule:
+    """Draw the named profile's schedule from the private stream ``rng``.
+
+    Event times are scaled to ``t_clean``, the fault-free duration of
+    the workload the schedule will hit, and latencies to the machine's
+    ``alpha``; adversaries are drawn from ``members``.  The draw order
+    is part of the contract: stored chaos corpora replay only while it
+    is unchanged.  ``crash-shrink`` crashes a node mid-run for a
+    program that waits the crash out and continues on the survivors.
+    """
+    if profile not in FAULT_PROFILES:
+        raise ValueError(f"unknown fault profile {profile!r}; expected "
+                         f"one of {sorted(FAULT_PROFILES)}")
+    if profile == "none":
+        return FaultSchedule()
+    deadline = fault_deadline(t_clean, alpha)
+    if profile == "jitter":
+        return FaultSchedule(jitter=alpha * rng.uniform(0.5, 3.0),
+                             seed=rng.randrange(2 ** 31),
+                             deadline=deadline)
+    if profile in ("crash", "crash-shrink"):
+        lo, hi = (0.0, 0.9) if profile == "crash" else (0.2, 0.8)
+        return FaultSchedule(
+            events=(NodeCrash(t=rng.uniform(lo, hi) * t_clean,
+                              node=rng.randrange(topology.nnodes)),),
+            deadline=deadline)
+    if profile in _ADVERSARY_PROFILES:
+        return FaultSchedule(
+            events=(_ADVERSARY_PROFILES[profile](
+                rank=rng.choice(members), every=rng.choice((1, 2, 3)),
+                start=rng.choice((0, 1))),),
+            seed=rng.randrange(2 ** 31), deadline=deadline)
+    u, v = rng.choice(sorted(set(topology.channels())))
+    t = rng.uniform(0.0, 0.5 if profile == "slowdown" else 0.8) * t_clean
+    if profile == "slowdown":
+        return FaultSchedule(
+            events=(LinkSlowdown(t=t, u=u, v=v,
+                                 factor=rng.uniform(2.0, 8.0)),),
+            deadline=deadline)
+    if profile == "link-permanent":
+        return FaultSchedule(events=(LinkFault(t=t, u=u, v=v),),
+                             deadline=deadline)
+    return FaultSchedule(  # link-transient
+        events=(LinkFault(t=t, u=u, v=v,
+                          duration=rng.uniform(0.5, 1.5) * t_clean),),
+        max_retries=14, deadline=deadline)
+
+
+# ----------------------------------------------------------------------
 # runtime state (owned by the engine)
 # ----------------------------------------------------------------------
 

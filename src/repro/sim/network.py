@@ -67,8 +67,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .params import MachineParams
-from .topology import Topology
+from ..core.params import MachineParams
+from ..core.topology import Topology
 
 Resource = Tuple  # ("inj", node) | ("ej", node) | ("ch", u, v)
 

@@ -30,10 +30,12 @@ def artifact_root(tmp_path):
         "max_median_regret": 1.05,
     }))
     (tmp_path / "CHAOS_report.json").write_text(json.dumps({
-        "cases": 1, "counts": {"ok": 1, "diagnosed": 0},
+        "cases": 1, "counts": {"ok": 1},
         "violations": [], "gates": {"zero_silent_corruption": True},
-        "records": [{"id": "mesh/bcast/baseline/1", "profile": "baseline",
-                     "schedule": "empty", "outcome": "ok", "time": 0.1}],
+        "records": [{"id": "0123456789abcdef", "verdict": "ok",
+                     "sim_time": 0.1,
+                     "case": {"origin": "mesh/bcast/none/1",
+                              "profile": "none", "faults": {}}}],
         "passed": True,
     }))
     (tmp_path / "CHAOS_autopilot.json").write_text(json.dumps({

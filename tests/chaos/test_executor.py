@@ -1,11 +1,14 @@
 """Executor verdicts and oracles: Byzantine detection is never silent."""
 
+import random
+
 import numpy as np
 import pytest
 
+import repro.chaos.executor as executor
 from repro.chaos import (FATAL_VERDICTS, FINDING_VERDICTS, VERDICTS,
                          execute_case)
-from repro.chaos.generator import ChaosCase
+from repro.chaos.generator import ChaosCase, with_faults
 from repro.chaos.minimize import plant_case
 from repro.chaos.oracles import (case_vec, clean_run, expected_results,
                                  make_program, payload_matches)
@@ -147,3 +150,24 @@ class TestSilentCorruptionDetection:
         for rank in range(case.nranks):
             assert payload_matches("bcast", "float64",
                                    run.results[rank], oracle[rank])
+
+
+class TestProfiles:
+    def test_crash_shrink_runs_on_the_survivors(self):
+        case = with_faults(_case(topo=("linear", 6), op="reduce_scatter",
+                                 n=64, profile="crash-shrink"),
+                           random.Random("crash-shrink"))
+        (dead,) = case.schedule().crashed_nodes()
+        assert case.members() == tuple(r for r in range(6) if r != dead)
+        rec = execute_case(case, audit=False)
+        assert rec["verdict"] == "ok"
+
+    def test_none_case_clock_drift_is_silent_corruption(self, monkeypatch):
+        case = _case()
+        t_clean, results = clean_run(case)
+        monkeypatch.setattr(executor, "clean_run",
+                            lambda c: (2.0 * t_clean, results))
+        rec = execute_case(case, audit=False)
+        assert rec["verdict"] == "silent-corruption"
+        assert rec["time_drift"] == [repr(2.0 * t_clean), repr(t_clean)]
+

@@ -1,14 +1,24 @@
 """Case generator: determinism, RNG isolation, strict round-trips."""
 
+import json
+import os
 import random
 
 import numpy as np
 import pytest
 
-from repro.chaos.generator import (ADVERSARIAL_PROFILES, CaseGenerator,
-                                   ChaosCase, OPS, PROFILES,
+import repro.chaos.generator as generator
+from repro.chaos.generator import (CaseGenerator, ChaosCase, OPS, PROFILES,
                                    TOPO_CLASSES, build_topology,
                                    topo_nranks)
+from repro.chaos.oracles import clean_run
+from repro.sim import preset
+from repro.sim.faults import profile_schedule
+
+ADVERSARIAL_PROFILES = ("byzantine", "withholding", "misrouting")
+
+_CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, os.pardir, "CHAOS_corpus.jsonl")
 
 
 class TestDeterminism:
@@ -42,6 +52,42 @@ class TestDeterminism:
         hits = sum((c.topo[0], c.op, c.profile) == target
                    for c in (gen.sample(explored) for _ in range(40)))
         assert hits >= 1
+
+
+class TestSharedBuilder:
+    """Every case gets its schedule from repro.sim.faults."""
+
+    def test_generator_and_builder_agree_from_equal_rng_states(
+            self, monkeypatch):
+        states = []
+
+        def spy(profile, rng, *args):
+            states.append(rng.getstate())
+            return profile_schedule(profile, rng, *args)
+
+        monkeypatch.setattr(generator, "profile_schedule", spy)
+        for profile in PROFILES[1:]:
+            case = CaseGenerator(7, profiles=(profile,)).sample()
+            rng = random.Random()
+            rng.setstate(states[-1])
+            t_clean, _ = clean_run(case)
+            want = profile_schedule(profile, rng, case.topology(),
+                                    preset(case.params).alpha, t_clean,
+                                    case.members())
+            assert case.faults == want.to_dict(), profile
+
+    def test_generator_replays_committed_corpus(self):
+        """Seed 42 with the corpus's own coverage bias redraws every
+        committed case: the draw order is pinned end to end."""
+        with open(_CORPUS) as f:
+            records = [json.loads(line) for line in f][1:]
+        records.sort(key=lambda r: int(r["case"]["origin"].split("=")[-1]))
+        gen = CaseGenerator(42)
+        explored = set()
+        for rec in records:
+            assert gen.sample(explored).to_dict() == rec["case"]
+            c = rec["case"]
+            explored.add((c["topo"][0], c["op"], c["profile"]))
 
 
 class TestRngIsolation:

@@ -65,18 +65,23 @@ def test_sim_engine_reexports_protocol_types():
     assert engine._Delay is protocol._Delay
 
 
-def test_sim_params_topology_shims_preserve_identity():
+def test_sim_package_reexports_machine_description():
+    """``from repro.sim import PARAGON, Mesh2D`` sees the core objects;
+    the old ``repro.sim.params``/``repro.sim.topology`` shims are gone."""
+    import importlib
+
     import repro.core.params as cp
     import repro.core.topology as ct
-    import repro.sim.params as sp
-    import repro.sim.topology as st
+    import repro.sim as sim
 
-    assert sp.MachineParams is cp.MachineParams
-    assert sp.PARAGON is cp.PARAGON
-    assert st.Mesh2D is ct.Mesh2D
-    assert st.LinearArray is ct.LinearArray
-    # isinstance checks written against either path agree
-    assert isinstance(ct.Mesh2D(2, 2), st.Topology)
+    assert sim.MachineParams is cp.MachineParams
+    assert sim.PARAGON is cp.PARAGON
+    assert sim.Mesh2D is ct.Mesh2D
+    assert sim.LinearArray is ct.LinearArray
+    assert isinstance(ct.Mesh2D(2, 2), sim.Topology)
+    for gone in ("repro.sim.params", "repro.sim.topology"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
 
 
 class TestPayloadNbytes:

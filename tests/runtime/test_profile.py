@@ -3,10 +3,13 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis import fit_alpha_beta
+from repro.core import api
 from repro.core.params import MachineParams, PARAGON
+from repro.core.strategy import Strategy
 from repro.runtime import ProcessMachine
 from repro.runtime import profile as profile_mod
 from repro.runtime.profile import (MachineProfile, calibrate_runtime,
@@ -126,6 +129,23 @@ class TestAutoLoad:
         m = ProcessMachine(2, timeout=20)
         assert m.params is None
         assert m.profile is None
+
+    def test_no_profile_run_records_no_prediction(self, store):
+        # the no-profile contract end to end: 128 B is under the fixed
+        # threshold, so dispatch takes the short-vector strategy, and
+        # nothing was priced, so the audit carries no prediction
+        assert 16 * 8 <= api.AUTO_FALLBACK_SHORT_NBYTES
+
+        def prog(env):
+            out = yield from api.allreduce(
+                env, np.arange(16, dtype=np.float64) + env.rank)
+            return float(out[0])
+
+        res = ProcessMachine(2, timeout=20).run(prog, trace=True)
+        (entry,) = res.audit.entries
+        assert entry.strategy == str(Strategy((2,), "M"))
+        assert entry.measured > 0.0
+        assert entry.predicted is None and entry.ratio is None
 
 
 class TestCalibrationPass:

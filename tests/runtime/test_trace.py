@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import api
+from repro.core.params import PARAGON
 from repro.obs.runtime import (ClockEstimate, chrome_trace,
                                estimate_clock_offset, merge_rank_traces,
                                write_chrome_trace)
@@ -92,7 +93,9 @@ class TestMergedTrace:
     @pytest.fixture(scope="class")
     def traced(self, tmp_path_factory):
         trace_dir = str(tmp_path_factory.mktemp("rank-traces"))
-        res = ProcessMachine(4, timeout=30).run(
+        # explicit params: auto dispatch prices candidates (and so
+        # records a prediction) without any stored host profile
+        res = ProcessMachine(4, params=PARAGON, timeout=30).run(
             _allreduce_prog, trace=True, trace_dir=trace_dir)
         return res, trace_dir
 

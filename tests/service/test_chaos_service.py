@@ -66,9 +66,9 @@ def test_crash_mid_storm_dead_letters_with_diagnosis():
 
 def test_schedules_are_seeded_and_reproducible():
     m = Machine(Mesh2D(2, 3), PARAGON)
-    a = service_fault_schedule("crash", m, seed=3, t_mid=0.01)
-    b = service_fault_schedule("crash", m, seed=3, t_mid=0.01)
-    c = service_fault_schedule("crash", m, seed=4, t_mid=0.01)
+    a = service_fault_schedule("crash", m, seed=3, t_clean=0.01)
+    b = service_fault_schedule("crash", m, seed=3, t_clean=0.01)
+    c = service_fault_schedule("crash", m, seed=4, t_clean=0.01)
     assert a.to_dict() == b.to_dict()
     assert a.to_dict() != c.to_dict()
 

@@ -5,7 +5,7 @@ scalar/vectorized bit-identity on clean runs; faults exercise code the
 corpus cannot — degraded-route interning, ``apply_slowdown`` capacity
 rewrites mid-flight, flow aborts, crash-shrunk groups.  This module
 replays the 45-case chaos smoke slice (mesh4x6 x 5 ops x {jitter,
-link-perm, crash} x 3 seeds — every one a non-empty
+link-permanent, crash} x 3 seeds — every one a non-empty
 :class:`~repro.sim.faults.FaultSchedule`) with the vectorized fill
 forced onto every component and asserts the per-case verdicts are
 exactly the ones in the committed full-grid ``CHAOS_report.json``:
@@ -31,7 +31,7 @@ _SMOKE = GRIDS["smoke"]
 def committed():
     with open(_REPORT) as f:
         report = json.load(f)
-    return {rec["id"]: rec for rec in report["records"]}
+    return {rec["case"]["origin"]: rec for rec in report["records"]}
 
 
 @pytest.fixture(autouse=True)
@@ -43,19 +43,19 @@ def _force_vectorized(monkeypatch):
 @pytest.mark.parametrize("case", _SMOKE,
                          ids=["-".join(map(str, c)) for c in _SMOKE])
 def test_vectorized_verdict_matches_committed(case, committed):
-    topo, op, profile, seed = case
-    rec = run_case(topo, op, profile, seed)
-    want = committed.get(rec["id"])
+    rec = run_case(*case)
+    row = rec["case"]["origin"]
+    want = committed.get(row)
     assert want is not None, (
-        f"smoke case {rec['id']} missing from committed CHAOS_report.json"
+        f"smoke case {row} missing from committed CHAOS_report.json"
         " — regenerate the full-grid report")
-    assert rec["outcome"] == want["outcome"], (
-        f"{rec['id']}: vectorized network changed the chaos verdict "
-        f"{want['outcome']!r} -> {rec['outcome']!r}")
-    assert rec["outcome"] != "silent-corruption"
+    assert rec["verdict"] == want["verdict"], (
+        f"{row}: vectorized network changed the chaos verdict "
+        f"{want['verdict']!r} -> {rec['verdict']!r}")
+    assert rec["verdict"] != "silent-corruption"
     # completed runs must also finish at the bit-identical instant, and
     # diagnosed runs must attribute the same fault
-    if "time" in want:
-        assert repr(rec.get("time")) == repr(want["time"]), rec["id"]
+    assert repr(rec["sim_time"]) == repr(want["sim_time"]), row
     if "diagnosis" in want:
-        assert rec.get("diagnosis") == want["diagnosis"], rec["id"]
+        first = rec["diagnosis"]["message"].splitlines()[0]
+        assert first == want["diagnosis"]["message"].splitlines()[0], row

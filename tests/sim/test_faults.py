@@ -594,7 +594,8 @@ class TestDiagnosis:
 # ----------------------------------------------------------------------
 
 class TestChaosHarness:
-    """Spot checks of the seeded chaos harness (benchmarks/chaos)."""
+    """Spot checks of the fixed chaos grid (benchmarks/chaos), which runs
+    through the repro.chaos harness."""
 
     def test_case_is_reproducible(self):
         from benchmarks.chaos.cases import run_case
@@ -602,25 +603,31 @@ class TestChaosHarness:
         b = run_case("mesh4x6", "allreduce", "crash", 101)
         assert a == b
 
-    def test_baseline_case_is_passive(self):
-        from benchmarks.chaos.cases import run_case
-        rec = run_case("linear12", "bcast", "baseline", 101)
-        assert rec["outcome"] == "ok"
-        assert rec["time"] == rec["t_clean"]
+    def test_none_case_is_passive(self):
+        from benchmarks.chaos.cases import grid_case, run_case
+        from repro.chaos import clean_run
+        rec = run_case("linear12", "bcast", "none", 101)
+        assert rec["verdict"] == "ok"
+        t_clean, _ = clean_run(grid_case("linear12", "bcast", "none", 101))
+        assert rec["sim_time"] == t_clean
 
     def test_crash_shrink_case_completes(self):
         from benchmarks.chaos.cases import run_case
         rec = run_case("linear12", "reduce_scatter", "crash-shrink", 202)
-        assert rec["outcome"] == "ok"
+        assert rec["verdict"] == "ok"
 
     def test_evaluate_flags_violations(self):
         from benchmarks.chaos.run import evaluate
+
+        def rec(row, profile, verdict):
+            return {"case": {"origin": row, "profile": profile},
+                    "verdict": verdict}
+
         records = [
-            {"id": "a", "profile": "jitter", "outcome": "ok"},
-            {"id": "b", "profile": "jitter", "outcome": "diagnosed"},
-            {"id": "c", "profile": "crash", "outcome": "diagnosed"},
-            {"id": "d", "profile": "crash",
-             "outcome": "silent-corruption"},
+            rec("a", "jitter", "ok"),
+            rec("b", "jitter", "diagnosed-fault"),
+            rec("c", "crash", "diagnosed-fault"),
+            rec("d", "crash", "silent-corruption"),
         ]
         summary = evaluate(records)
         assert not summary["passed"]

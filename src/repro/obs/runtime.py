@@ -16,7 +16,7 @@ intra-cluster collectives (Barchet-Estefanel & Mounié):
   on real processes with **zero algorithm changes**.  On top of spans it
   records one event per message lifecycle step — ``post`` (send or
   recv, with the rank's posted/unexpected queue depths and the
-  transport outbox depth at post time), ``match`` (a receive paired
+  transport backlog depth at post time), ``match`` (a receive paired
   with its payload) and ``drain`` (a frame pulled off the wire into the
   unexpected queue).
 * **Clock alignment** — each rank's trace times are wall-clock seconds

@@ -12,8 +12,9 @@ unexpected-message queue pair.
 
 Differences from the simulated env, by design:
 
-* ``isend`` is **eager**: the payload is handed to the transport's
-  buffered writer and the handle completes immediately (the simulator's
+* ``isend`` is **eager**: the transport writes the frame inline or, if
+  the peer's socket is full, backlogs it for its writer thread; either
+  way the handle completes immediately (the simulator's
   rendezvous timing model has no wall-clock counterpart; the matching
   semantics — which determine *values* — are identical).
 * ``compute``/``overhead`` are model-cost annotations and cost nothing:
@@ -75,9 +76,10 @@ class ProcessEnv:
         ``None`` engages the documented short/long fallback in
         :mod:`repro.core.api`.
     status:
-        Optional shared ``c_char`` array; the env writes a short
-        human-readable state into it whenever it blocks, which the
-        launcher watchdog reads if the rank has to be killed.
+        Optional shared ``c_char`` array; once a wait has lasted a
+        poll interval the env writes a short human-readable state into
+        it (refreshed at most once per interval), which the launcher
+        watchdog reads if the rank has to be killed.
     deadline:
         Optional soft deadline in seconds of wall time since
         construction; a blocked wait past it raises
@@ -164,33 +166,34 @@ class ProcessEnv:
         self._check_peer(dst)
         if nbytes is None:
             nbytes = payload_nbytes(data)
+        t = self.now
         if self._adversary is not None:
-            acted = self._adversary.act(self.rank, dst, tag, data,
-                                        self.now, self._nranks)
+            acted = self._adversary.act(self.rank, dst, tag, data, t,
+                                        self._nranks)
             if acted is not None:
                 tamper, dst, data = acted
                 if tamper.kind == "withholding-rank":
                     # the sender proceeds as if delivered; nothing
                     # reaches the transport
-                    h = CommHandle("send", dst, tag, data, nbytes,
-                                   self.now)
+                    h = CommHandle("send", dst, tag, data, nbytes, t)
                     h.done = True
                     return h
-        h = CommHandle("send", dst, tag, data, nbytes, self.now)
+        h = CommHandle("send", dst, tag, data, nbytes, t)
         if self.tracer is not None:
-            self.tracer.send_post(self.now, dst, tag, nbytes,
+            self.tracer.send_post(t, dst, tag, nbytes,
                                   self._transport.outbox_depth(),
                                   self._n_posted, self._n_unexpected)
         self._transport.send(dst, tag, data, nbytes)
-        h.done = True  # eager: buffered by the transport writer
+        h.done = True  # eager: on the wire or in the transport's backlog
         return h
 
     def irecv(self, src: int, tag: int = 0) -> CommHandle:
         self._check_peer(src)
-        h = CommHandle("recv", src, tag, None, 0.0, self.now)
+        t = self.now
+        h = CommHandle("recv", src, tag, None, 0.0, t)
         key = (src, tag)
         if self.tracer is not None:
-            self.tracer.recv_post(self.now, src, tag,
+            self.tracer.recv_post(t, src, tag,
                                   self._n_posted, self._n_unexpected)
         q = self._unexpected.get(key)
         if q:
@@ -199,9 +202,9 @@ class ProcessEnv:
             if not q:
                 del self._unexpected[key]
             self._n_unexpected -= 1
-            self.last_progress_s = self.now
+            self.last_progress_s = t
             if self.tracer is not None:
-                self.tracer.match(self.now, src, tag)
+                self.tracer.match(t, src, tag)
         else:
             self._posted.setdefault(key, deque()).append(h)
             self._n_posted += 1
@@ -264,25 +267,41 @@ class ProcessEnv:
             "from env.isend/irecv/send/recv/waitall/delay/compute")
 
     def _complete(self, wg: _WaitGroup) -> Any:
+        blocked = [h for h in wg.handles if not h.done]
+        if not blocked:
+            return wg._value()
+        # The status text is for the watchdog, which reads it only for
+        # ranks stuck for seconds: write it once a wait has lasted a
+        # poll interval, then at most once per interval.
+        status_due = self.now + self._poll
+        described = False
         while True:
-            blocked = [h for h in wg.handles if not h.done]
+            t = self._progress()
+            blocked = [h for h in blocked if not h.done]
             if not blocked:
-                self._set_status("running")
-                return wg._value()
-            self._set_status(self._describe(blocked))
-            self._progress(blocked)
+                break
+            if self._deadline is not None and t > self._deadline:
+                raise RankDeadlineError(self.rank, t,
+                                        self._describe(blocked),
+                                        queues=self.queue_snapshot())
+            if t >= status_due:
+                self._set_status(self._describe(blocked))
+                described = True
+                status_due = t + self._poll
+        if described:
+            self._set_status("running")
+        return wg._value()
 
-    def _progress(self, blocked) -> None:
-        if self._deadline is not None and self.now > self._deadline:
-            raise RankDeadlineError(self.rank, self.now,
-                                    self._describe(blocked),
-                                    queues=self.queue_snapshot())
+    def _progress(self) -> float:
+        """Take at most one frame off the transport and match it;
+        returns the wall time (env clock) after the attempt."""
         msg = self._transport.recv_any(timeout=self._poll)
+        t = self.now
         if msg is None:
-            return
+            return t
         src, tag, payload = msg
         key = (src, tag)
-        self.last_progress_s = self.now
+        self.last_progress_s = t
         q = self._posted.get(key)
         if q:
             h = q.popleft()
@@ -292,12 +311,13 @@ class ProcessEnv:
                 del self._posted[key]
             self._n_posted -= 1
             if self.tracer is not None:
-                self.tracer.match(self.now, src, tag)
+                self.tracer.match(t, src, tag)
         else:
             self._unexpected.setdefault(key, deque()).append(payload)
             self._n_unexpected += 1
             if self.tracer is not None:
-                self.tracer.drain(self.now, src, tag)
+                self.tracer.drain(t, src, tag)
+        return t
 
     def queue_snapshot(self) -> Dict[str, object]:
         """Progress snapshot: queue depths + last matched/drained time."""

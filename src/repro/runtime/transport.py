@@ -16,80 +16,156 @@ Two implementations share the per-rank interface:
   same interface, for multi-host use (addresses are exchanged through
   a rendezvous listener, then the full mesh is wired pairwise).
 
-Sends are **eager and buffered**: ``RankTransport.send`` enqueues the
-frame on an unbounded outbox drained by a background writer thread, so
-a rank can post arbitrarily large ``isend``s without blocking even
-when the OS pipe/socket buffer is full — the classic progress-engine
-arrangement.  (A rank blocked in ``waitall`` keeps draining its inbound
-connections, which is what unblocks its peers' writers.)
+Both hand :class:`RankTransport` stream sockets (a duplex
+``multiprocessing`` pipe is a socketpair), which it adopts and drives
+directly.  Frames use the wire format of
+``multiprocessing.connection.Connection``: a 4-byte big-endian length
+(``-1`` then an 8-byte length above 2**31 - 1), then the pickle.
+
+Sends are **eager**: ``RankTransport.send`` pickles the frame and
+writes it inline with a non-blocking send, so a small message costs
+one syscall on the rank's own thread.  Whatever the socket will not
+take at once — the tail of a large frame, or a whole frame when the
+peer's buffer is full — goes to a *backlog* drained by a background
+writer thread, and every later frame for that peer queues behind it
+until the writer has written it.  A rank can therefore post
+arbitrarily large ``isend``s without ever blocking in a write, and
+per-pair FIFO order holds.  (A rank blocked in ``waitall`` keeps
+draining its inbound connections, which is what unblocks its peers'
+writers.)  Receives poll one ``select.poll`` set and read whatever each
+ready socket holds, so one syscall can bring in many frames.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import socket
+import struct
 import threading
 import time
 from collections import deque
-from multiprocessing.connection import Client, Connection, Listener, wait
-from typing import Any, Dict, List, Optional, Tuple
+from multiprocessing.connection import Client, Connection, Listener
+from typing import Any, Dict, Optional, Tuple
+
+_LEN = struct.Struct("!i")
+_LONG_LEN = struct.Struct("!iQ")
 
 
 class TransportError(RuntimeError):
     """A transport-level failure (peer vanished, wiring failed)."""
 
 
+def _unsent(bufs, sent: int) -> list:
+    """What is left of the buffer list ``bufs`` once ``sent`` bytes of
+    it have been written."""
+    rest = []
+    for b in bufs:
+        if sent >= len(b):
+            sent -= len(b)
+        else:
+            rest.append(memoryview(b)[sent:] if sent else b)
+            sent = 0
+    return rest
+
+
+class _Peer:
+    """One connection: the adopted socket, the bytes of a frame still
+    arriving, and how many of our frames wait in the writer's backlog."""
+
+    __slots__ = ("rank", "sock", "partial", "backlog")
+
+    def __init__(self, rank: int, sock: socket.socket):
+        self.rank = rank
+        self.sock = sock
+        self.partial = bytearray()
+        self.backlog = 0
+
+
 class RankTransport:
     """One rank's view of the mesh: per-peer FIFO connections.
 
-    ``send`` may be called from the rank's main thread only; frames are
-    written to the wire by a single background writer thread (started
-    lazily), preserving per-pair FIFO order as a subsequence of the
-    global outbox order.  ``recv_any`` drains whichever connections are
-    readable and returns one ``(src, tag, payload)`` frame at a time.
+    Takes ownership of ``conns``: each connection's socket is duplicated
+    into a :class:`socket.socket` and the connection object is closed.
+    ``send`` may be called from the rank's main thread only; it writes
+    inline unless that peer has a backlog, which a single background
+    writer thread (started lazily) drains in order.  ``recv_any``
+    returns one ``(src, tag, payload)`` frame at a time.
     """
 
     def __init__(self, rank: int, nranks: int,
                  conns: Dict[int, Connection]):
         self.rank = rank
         self.nranks = nranks
-        self._conns = dict(conns)
-        self._peer_of = {id(c): peer for peer, c in self._conns.items()}
-        self._open: List[Connection] = list(self._conns.values())
+        self._peers: Dict[int, _Peer] = {}
+        self._by_fd: Dict[int, _Peer] = {}
+        self._poller = select.poll()
+        rcvbuf = 0
+        for peer, conn in conns.items():
+            sock = socket.socket(fileno=os.dup(conn.fileno()))
+            conn.close()
+            self._peers[peer] = self._by_fd[sock.fileno()] = \
+                _Peer(peer, sock)
+            self._poller.register(sock, select.POLLIN)
+            rcvbuf = max(rcvbuf, sock.getsockopt(socket.SOL_SOCKET,
+                                                 socket.SO_RCVBUF))
+        # one read takes at most what a socket's receive buffer holds
+        self._chunk = memoryview(bytearray(rcvbuf))
         self._inbox: deque = deque()
         self._outbox: deque = deque()
         self._cv = threading.Condition()
         self._writer: Optional[threading.Thread] = None
         self._closing = False
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.bytes_sent = 0.0
 
     # --- sending ---------------------------------------------------------
 
     def send(self, dst: int, tag: int, payload: Any,
              nbytes: float = 0.0) -> None:
-        """Enqueue a frame for ``dst``; returns immediately."""
-        self.frames_sent += 1
-        self.bytes_sent += nbytes
+        """Send a frame to ``dst``; never blocks on the wire."""
         if dst == self.rank:
             # Local "transfer": a memory reference hand-off, same as the
             # simulator's free self-send.
             self._inbox.append((self.rank, tag, payload))
             return
+        body = pickle.dumps((tag, payload), protocol=5)
+        n = len(body)
+        frame = [_LEN.pack(n) if n <= 0x7FFFFFFF else _LONG_LEN.pack(-1, n),
+                 body]
+        peer = self._peers[dst]
+        if not peer.backlog:
+            # Nothing of ours is ahead of this frame: try the wire now.
+            # Only this thread raises the count, so a zero read without
+            # the lock cannot be stale.
+            try:
+                sent = peer.sock.sendmsg(frame, (), socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                sent = 0
+            except OSError:
+                # The peer is gone.  Its unreceived messages are lost;
+                # any rank waiting on them hangs and the launcher
+                # watchdog turns that into a diagnosis.
+                return
+            frame = _unsent(frame, sent)
+            if not frame:
+                return
         with self._cv:
             if self._writer is None:
                 self._writer = threading.Thread(
                     target=self._write_loop,
                     name=f"repro-writer-{self.rank}", daemon=True)
                 self._writer.start()
-            self._outbox.append((dst, tag, payload))
+            peer.backlog += 1
+            self._outbox.append((peer, frame))
             self._cv.notify()
 
     def outbox_depth(self) -> int:
-        """Frames enqueued but not yet written to the wire.
+        """Frames in the backlog: handed to the writer thread, not yet
+        fully written to the wire.
 
         A cheap (lock-free, possibly slightly stale) snapshot for trace
-        records: a growing depth at send-post time means the writer is
-        falling behind the program's eager sends.
+        records: a growing depth at send-post time means the peers'
+        sockets are full and the writer is falling behind.
         """
         return len(self._outbox)
 
@@ -100,50 +176,85 @@ class RankTransport:
                     self._cv.wait()
                 if not self._outbox:
                     return  # closing and flushed
-                dst, tag, payload = self._outbox.popleft()
+                peer, frame = self._outbox[0]
             try:
-                self._conns[dst].send((tag, payload))
-            except (BrokenPipeError, ConnectionError, OSError):
-                # The peer is gone.  Its unreceived messages are lost;
-                # any rank waiting on them hangs and the launcher
-                # watchdog turns that into a diagnosis.
-                return
+                while frame:
+                    frame = _unsent(frame, peer.sock.sendmsg(frame))
+            except OSError:
+                pass  # the peer is gone (see send)
+            with self._cv:
+                self._outbox.popleft()
+                peer.backlog -= 1
 
     # --- receiving -------------------------------------------------------
 
     def recv_any(self, timeout: Optional[float] = None
                  ) -> Optional[Tuple[int, int, Any]]:
-        """Next available ``(src, tag, payload)``, or None on timeout."""
-        if self._inbox:
-            self.frames_received += 1
-            return self._inbox.popleft()
-        if not self._open:
-            if timeout:
-                time.sleep(timeout)
-            return None
+        """Next available ``(src, tag, payload)``, or None if no whole
+        frame arrived within ``timeout`` (a frame still arriving also
+        returns None, early)."""
+        if not self._inbox:
+            if not self._by_fd:
+                if timeout:
+                    time.sleep(timeout)
+                return None
+            for fd, _ in self._poller.poll(
+                    None if timeout is None else timeout * 1000):
+                self._read(fd)
+            if not self._inbox:
+                return None
+        return self._inbox.popleft()
+
+    def _read(self, fd: int) -> None:
+        """Move what the socket ``fd`` holds into the inbox."""
+        peer = self._by_fd[fd]
+        chunk = self._chunk
         try:
-            ready = wait(self._open, timeout)
+            got = peer.sock.recv_into(chunk, 0, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return
         except OSError:
-            ready = []
-        for c in ready:
-            src = self._peer_of[id(c)]
-            try:
-                while True:
-                    self._inbox.append((src,) + tuple(c.recv()))
-                    if not c.poll(0):
-                        break
-            except (EOFError, ConnectionError, OSError):
-                # peer finished (or died): stop watching this connection
-                self._open.remove(c)
-        if self._inbox:
-            self.frames_received += 1
-            return self._inbox.popleft()
-        return None
+            got = 0
+        if not got:
+            # peer finished (or died): stop watching this connection
+            self._poller.unregister(fd)
+            del self._by_fd[fd]
+            if peer.partial:
+                raise TransportError(
+                    f"rank {self.rank}: peer {peer.rank} closed its "
+                    f"connection mid-frame ({len(peer.partial)} bytes of "
+                    "an unfinished frame)")
+            return
+        buf = peer.partial
+        if buf:
+            buf += chunk[:got]
+            data = memoryview(buf)
+        else:
+            data = chunk[:got]
+        end, pos = len(data), 0
+        while end - pos >= 4:
+            n, = _LEN.unpack_from(data, pos)
+            start = pos + 4
+            if n < 0:
+                if end - pos < 12:
+                    break
+                _, n = _LONG_LEN.unpack_from(data, pos)
+                start = pos + 12
+            if start + n > end:
+                break
+            tag, payload = pickle.loads(data[start:start + n])
+            self._inbox.append((peer.rank, tag, payload))
+            pos = start + n
+        if buf:
+            data.release()  # a bytearray with a view on it cannot shrink
+            del buf[:pos]
+        elif pos < end:
+            peer.partial = bytearray(data[pos:])
 
     # --- lifecycle -------------------------------------------------------
 
     def flush_and_close(self, flush_timeout: float = 30.0) -> None:
-        """Flush the outbox (bounded wait), then close every connection.
+        """Flush the backlog (bounded wait), then close every connection.
 
         Called when the rank's program finishes: its last sends may
         still be queued, and peers are entitled to receive them.
@@ -153,11 +264,8 @@ class RankTransport:
             self._cv.notify()
         if self._writer is not None:
             self._writer.join(flush_timeout)
-        for c in self._conns.values():
-            try:
-                c.close()
-            except OSError:
-                pass
+        for peer in self._peers.values():
+            peer.sock.close()
 
 
 class LocalMesh:

@@ -1,4 +1,4 @@
-"""Transport-layer tests: FIFO delivery, tag matching, eager buffering.
+"""Transport-layer tests: FIFO delivery, tag matching, eager sends.
 
 The matching rule — receives match sends with the same ``(source,
 tag)`` in FIFO order per pair — is the determinism contract both
@@ -6,23 +6,61 @@ backends share.  These tests pin it at the transport/env level, below
 the collective algorithms.
 """
 
+import gc
 import multiprocessing
+import struct
+import sys
+import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.runtime import ProcessMachine, RankTransport
+from repro.runtime import ProcessMachine, RankError, RankTransport
 from repro.runtime.env import ProcessEnv
 
 
-def _pair_transports():
+def _wired_pair():
     """Two wired RankTransports inside this process (no forking)."""
     ctx = multiprocessing.get_context("fork")
     a_end, b_end = ctx.Pipe(duplex=True)
-    ta = RankTransport(0, 2, {1: a_end})
-    tb = RankTransport(1, 2, {0: b_end})
-    return ta, tb
+    return RankTransport(0, 2, {1: a_end}), RankTransport(1, 2, {0: b_end})
+
+
+_OPEN = []
+
+
+def _pair_transports():
+    """A wired pair, closed when the test ends."""
+    pair = _wired_pair()
+    _OPEN.extend(pair)
+    return pair
+
+
+@pytest.fixture(autouse=True)
+def _close_transports():
+    yield
+    while _OPEN:  # receiver first, so no writer waits on a full socket
+        _OPEN.pop().flush_and_close()
+
+
+class _SlowWriterSocket:
+    """Socket stand-in whose first blocking ``sendmsg`` — the writer
+    thread's; inline sends pass a flag — starts 0.2 s late."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self._delay = 0.2
+
+    def sendmsg(self, buffers, *flags):
+        if not flags:
+            time.sleep(self._delay)
+            self._delay = 0.0
+        return self._sock.sendmsg(buffers, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
 
 
 def _recv_all(tr, count, timeout=5.0):
@@ -66,6 +104,77 @@ class TestRankTransport:
             assert tag == k
             assert np.array_equal(payload, big * k)
 
+    def test_backlogged_frame_keeps_fifo_with_later_small_frames(self):
+        # 2 MB overflows the socket buffer, so its tail goes to the
+        # writer thread, which is held up for 0.2 s.  Once the receiver
+        # has freed buffer space there is room on the wire, yet the 50
+        # small frames must queue behind the tail, not take it inline.
+        ta, tb = _pair_transports()
+        peer = ta._peers[1]
+        peer.sock = _SlowWriterSocket(peer.sock)
+        big = np.arange(256 * 1024, dtype=np.float64)
+        ta.send(1, 0, big)
+        time.sleep(0.05)                         # writer has the tail
+        assert tb.recv_any(timeout=1.0) is None  # frees buffer space
+        for i in range(50):
+            ta.send(1, 1, i)
+        assert ta.outbox_depth() == 51
+        got = _recv_all(tb, 51, timeout=20.0)
+        assert np.array_equal(got[0][2], big)
+        assert [p for _, _, p in got[1:]] == list(range(50))
+        assert [tag for _, tag, _ in got] == [0] + [1] * 50
+
+    def test_backlog_rule_under_thread_switching(self):
+        # Sender, writer and a draining receiver thread switch every
+        # microsecond; every 7th frame (512 KB) backlogs.  A frame
+        # written inline while the writer still holds an earlier tail
+        # would corrupt the stream or reorder it.
+        ta, tb = _pair_transports()
+        got = []
+        rx = threading.Thread(
+            target=lambda: got.extend(_recv_all(tb, 300, timeout=30.0)))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rx.start()
+            for i in range(300):
+                n = 64 * 1024 if i % 7 == 0 else 1
+                ta.send(1, 0, np.full(n, float(i)))
+            rx.join(60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not rx.is_alive()
+        assert [p[0] for _, _, p in got] == [float(i) for i in range(300)]
+
+    def test_small_sends_to_draining_peer_stay_inline(self):
+        ta, tb = _pair_transports()
+        for i in range(200):
+            ta.send(1, 0, np.full(1, float(i)))
+            assert tb.recv_any(timeout=5.0)[2][0] == float(i)
+        assert ta._writer is None
+        assert ta.outbox_depth() == 0
+
+    def test_close_both_ends_is_clean(self):
+        unraisable = []
+        old_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ta, tb = _wired_pair()
+                ta.send(1, 0, "ping")
+                tb.send(0, 0, "pong")
+                assert _recv_all(tb, 1)[0][2] == "ping"
+                assert _recv_all(ta, 1)[0][2] == "pong"
+                ta.flush_and_close()
+                tb.flush_and_close()
+                del ta, tb
+                gc.collect()
+        finally:
+            sys.unraisablehook = old_hook
+        assert unraisable == []
+        assert [str(w.message) for w in caught] == []
+
     def test_flush_and_close_delivers_queued_frames(self):
         ta, tb = _pair_transports()
         for i in range(10):
@@ -79,10 +188,7 @@ class TestEnvMatching:
     """(source, tag) FIFO matching at the ProcessEnv layer."""
 
     def _loopback_env(self):
-        ctx = multiprocessing.get_context("fork")
-        a_end, b_end = ctx.Pipe(duplex=True)
-        t0 = RankTransport(0, 2, {1: a_end})
-        t1 = RankTransport(1, 2, {0: b_end})
+        t0, t1 = _pair_transports()
         return (ProcessEnv(0, 2, t0, poll=0.01),
                 ProcessEnv(1, 2, t1, poll=0.01))
 
@@ -153,3 +259,30 @@ class TestAcrossProcesses:
 
         res = ProcessMachine(2, timeout=30).run(prog)
         assert res.results[0] == 2.0 and res.results[1] == 1.0
+
+
+class TestTransportChaos:
+    """Malformed traffic on the wire ends in a typed diagnosis."""
+
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_truncated_frame_then_exit(self, transport):
+        # Rank 1 promises a 1000-byte frame, writes 12 bytes of it and
+        # exits; rank 0 is waiting for a message from rank 1.
+        def prog(env):
+            if env.rank == 1:
+                sock = env._transport._peers[0].sock
+                sock.sendall(struct.pack("!i", 1000) + b"\x80\x05" * 6)
+                yield env.delay(0.0)
+                return "exited"
+            got = yield env.recv(1, tag=0)
+            return got
+
+        t0 = time.monotonic()
+        with pytest.raises(RankError) as ei:
+            ProcessMachine(2, transport=transport, timeout=3.0,
+                           hard_grace=1.0).run(prog)
+        assert time.monotonic() - t0 < 3.0
+        assert set(ei.value.failures) == {0}
+        assert "TransportError" in ei.value.failures[0]
+        assert "peer 1 closed its connection mid-frame" in \
+            ei.value.failures[0]

@@ -33,13 +33,6 @@ regression-relevant:
   executed *different strategies*.  The machine now carries the fitted
   profile, so auto dispatch resolves identically on both sides.
 
-A third bug of the same kind surfaced once the transport got faster:
-each timed loop began with the rank's *first* call of that collective,
-which also pays one-time costs — chiefly the Selector pricing the
-length bucket, ~1 ms of CPU per rank against ~0.3-0.5 ms for a warm
-call on a 2-vCPU VM — that the one-collective prediction does not
-contain.  Each rank now makes one untimed call before the barrier.
-
 ``--check`` gates the wall/predicted ratios: the median over the
 collective grid must land in ``[0.5, 2.0]`` — the fitted model must
 track live hardware within 2x where the 1994 presets sat at 1.9-4x.
@@ -107,17 +100,12 @@ def _collective_body(env, op, n, me, sizes):
 
 
 def _collective_prog(op, n, reps):
-    """Timed rank program: one warm-up call, barrier, then ``reps``
-    collectives around a wall clock.  Returns mean seconds per
-    collective."""
+    """Timed rank program: barrier, then ``reps`` collectives around a
+    wall clock.  Returns mean seconds per collective."""
     def prog(env):
         from repro.core import api
         from repro.core.partition import partition_sizes
         sizes = partition_sizes(n, env.nranks)
-        # untimed warm-up call: the first call pays one-time costs the
-        # prediction does not model (the Selector pricing this length
-        # bucket), as the calibration probes warm their path too
-        yield from _collective_body(env, op, n, env.rank, sizes)
         yield from api.barrier(env)
         t0 = time.perf_counter()
         for _ in range(reps):

@@ -76,10 +76,11 @@ class ProcessEnv:
         ``None`` engages the documented short/long fallback in
         :mod:`repro.core.api`.
     status:
-        Optional shared ``c_char`` array; once a wait has lasted a
-        poll interval the env writes a short human-readable state into
-        it (refreshed at most once per interval), which the launcher
-        watchdog reads if the rank has to be killed.
+        Optional shared ``c_char`` array holding ``"running"`` until a
+        wait has lasted a poll interval; then the env writes a short
+        human-readable state into it (refreshed at most once per
+        interval), which the launcher watchdog reads if the rank has
+        to be killed.
     deadline:
         Optional soft deadline in seconds of wall time since
         construction; a blocked wait past it raises
@@ -110,6 +111,8 @@ class ProcessEnv:
         #: alignment probes don't clutter the trace.
         self.tracer = tracer
         self._status = status
+        # a rank that hangs outside a wait still reports a state
+        self._set_status("running")
         self._deadline = deadline
         self._poll = poll
         self._t0 = time.monotonic()

@@ -33,7 +33,11 @@ arbitrarily large ``isend``s without ever blocking in a write, and
 per-pair FIFO order holds.  (A rank blocked in ``waitall`` keeps
 draining its inbound connections, which is what unblocks its peers'
 writers.)  Receives poll one ``select.poll`` set and read whatever each
-ready socket holds, so one syscall can bring in many frames.
+ready socket holds without blocking, keeping a partial frame until the
+rest arrives.  A rank must never block on one peer's partial frame:
+that frame's tail may sit in the peer's backlog behind a frame to a
+third rank, which may itself be blocked the same way (a cycle that
+``Connection.recv_bytes`` would deadlock on).
 """
 
 from __future__ import annotations

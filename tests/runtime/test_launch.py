@@ -121,6 +121,24 @@ class TestFailurePropagation:
         assert diag.killed == [0]
         assert "killed by launcher watchdog" in diag.blocked[0]
 
+    def test_wedged_rank_after_short_waits_reports_running(self):
+        # Short waits write no status text; a rank wedged in user code
+        # after them must still report "running", not an empty slot.
+        def prog(env):
+            peer = 1 - env.rank
+            for k in range(3):
+                yield env.send(peer, k, tag=k)
+                yield env.recv(peer, tag=k)
+            if env.rank == 0:
+                time.sleep(60)
+            return env.rank
+
+        with pytest.raises(RuntimeHangDiagnosis) as ei:
+            ProcessMachine(2, timeout=1.0, hard_grace=1.0).run(prog)
+        diag = ei.value
+        assert diag.killed == [0]
+        assert diag.blocked[0].startswith("running")
+
     def test_deadlock_all_ranks_reported(self):
         def prog(env):
             # everyone waits on their left neighbour; nobody sends

@@ -146,6 +146,45 @@ class TestRankTransport:
         assert not rx.is_alive()
         assert [p[0] for _, _, p in got] == [float(i) for i in range(300)]
 
+    def test_backlogs_to_different_peers_cannot_deadlock(self):
+        # Three ranks each send a 2 MB frame to their successor, then
+        # one to their predecessor.  Both overflow the socket, so every
+        # writer holds the successor's tail with the predecessor's
+        # queued behind it.  Each rank polls its successor first.  A
+        # receiver that blocked until a partial frame completed would
+        # wait on a tail stuck behind a writer whose own peer waits
+        # the same way, all round the ring.
+        ctx = multiprocessing.get_context("fork")
+        pipes = {(a, b): ctx.Pipe(duplex=True)
+                 for a, b in ((0, 1), (1, 2), (0, 2))}
+
+        def end(me, other):
+            return pipes[(min(me, other), max(me, other))][int(me > other)]
+
+        trs = [RankTransport(r, 3, {(r + 1) % 3: end(r, (r + 1) % 3),
+                                    (r - 1) % 3: end(r, (r - 1) % 3)})
+               for r in range(3)]
+        _OPEN.extend(trs)
+        big = np.arange(256 * 1024, dtype=np.float64)
+        for r, tr in enumerate(trs):
+            tr.send((r + 1) % 3, 0, big + r)
+            tr.send((r - 1) % 3, 1, big - r)
+        got = [[] for _ in trs]
+        rx = [threading.Thread(
+            target=lambda r=r: got[r].extend(_recv_all(trs[r], 2, 20.0)),
+            daemon=True) for r in range(3)]
+        for t in rx:
+            t.start()
+        for t in rx:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in rx)
+        for r in range(3):
+            frames = {src: (tag, payload) for src, tag, payload in got[r]}
+            tag, payload = frames[(r - 1) % 3]
+            assert tag == 0 and np.array_equal(payload, big + (r - 1) % 3)
+            tag, payload = frames[(r + 1) % 3]
+            assert tag == 1 and np.array_equal(payload, big - (r + 1) % 3)
+
     def test_small_sends_to_draining_peer_stay_inline(self):
         ta, tb = _pair_transports()
         for i in range(200):

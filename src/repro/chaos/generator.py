@@ -75,14 +75,7 @@ def build_topology(desc: Sequence):
 
 
 def topo_nranks(desc: Sequence) -> int:
-    kind = desc[0]
-    if kind in ("linear", "ring"):
-        return desc[1]
-    if kind in ("mesh", "torus"):
-        return desc[1] * desc[2]
-    if kind == "hypercube":
-        return 1 << desc[1]
-    raise ValueError(f"unknown topology class {kind!r}")
+    return build_topology(desc).nnodes
 
 
 @dataclass(frozen=True)

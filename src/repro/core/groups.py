@@ -72,7 +72,16 @@ def classify(nodes: Sequence[int], topology: Topology) -> GroupStructure:
         return GroupStructure("contiguous", 1)
 
     if isinstance(topology, (Mesh2D, Torus2D)):
-        return _classify_mesh(nodes, topology)
+        # every rank of a group classifies the same tuple: memoize on
+        # the topology, as ``Topology._adjacency`` does its adjacency
+        cache = getattr(topology, "_classify_cache", None)
+        if cache is None:
+            cache = topology._classify_cache = {}
+        key = tuple(nodes)
+        struct = cache.get(key)
+        if struct is None:
+            struct = cache[key] = _classify_mesh(nodes, topology)
+        return struct
 
     stride = _common_stride(nodes)
     if stride == 1:

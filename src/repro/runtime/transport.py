@@ -14,7 +14,8 @@ Two implementations share the per-rank interface:
   children);
 * :class:`TcpMesh` — TCP sockets with a rank-0 rendezvous, behind the
   same interface, for multi-host use (addresses are exchanged through
-  a rendezvous listener, then the full mesh is wired pairwise).
+  a rendezvous listener, then the full mesh is wired pairwise; the
+  adopted sockets run with ``TCP_NODELAY``).
 
 Both hand :class:`RankTransport` stream sockets (a duplex
 ``multiprocessing`` pipe is a socketpair), which it adopts and drives
@@ -109,6 +110,10 @@ class RankTransport:
         for peer, conn in conns.items():
             sock = socket.socket(fileno=os.dup(conn.fileno()))
             conn.close()
+            if sock.family == socket.AF_INET:
+                # without it Nagle holds a small frame that follows a
+                # partial write until the peer's delayed ACK
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._peers[peer] = self._by_fd[sock.fileno()] = \
                 _Peer(peer, sock)
             self._poller.register(sock, select.POLLIN)

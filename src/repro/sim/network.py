@@ -44,9 +44,18 @@ max-min recomputations -> a completion event.  To keep that path cheap:
   scratch, and the deterministic order makes whole runs reproducible
   (the previous ``set``-of-objects indices iterated in ``id()`` order,
   which could permute same-time events between runs).
-* **Stamped component walks.**  Component discovery and the progressive
-  filling bookkeeping use generation stamps on flows/resources instead
-  of per-call ``set``/``dict`` allocations.
+* **Stamped, pruned component walks.**  Component discovery and the
+  progressive filling bookkeeping use generation stamps on
+  flows/resources instead of per-call ``set``/``dict`` allocations; a
+  resource that carries only the flow just popped is never pushed, since
+  it can add no flow.
+* **Fill reuse per component.**  The rates of a fill depend only on the
+  component's ordered routes and the resource capacities (each round
+  fixes every unfixed flow on the bottleneck at one share and drains
+  that same value, so the order of flows on a resource cannot matter).
+  They are stored under ``tuple(f.route for f in comp)`` and reused
+  when the same component recurs; :meth:`FluidNetwork.apply_slowdown`,
+  the only place an interned capacity changes, clears the store.
 * **Completion-event elision.**  A recomputation that leaves a flow's
   predicted finish time bit-identical (the common case when several
   flows start at one timestamp) keeps the already-scheduled completion
@@ -247,6 +256,11 @@ class FluidNetwork:
         self._gmap = np.zeros(0, dtype=np.intp)
         #: (src, dst) -> tuple of interned resource ids
         self._route_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        #: ordered component routes -> the rates progressive filling
+        #: gave them, in the same order; valid while no interned
+        #: capacity changes (flushed by :meth:`apply_slowdown`)
+        self._fill_memo: Dict[Tuple[Tuple[int, ...], ...],
+                              List[float]] = {}
         self._active: Dict[Flow, None] = {}
         #: statistics
         self.flows_started = 0
@@ -390,6 +404,7 @@ class FluidNetwork:
         self._res_cap[rid] = (self._chan_cap if factor is None
                               else self._chan_cap / factor)
         self._cap_dirty = True
+        self._fill_memo.clear()
         flows = self._res_flows[rid]
         if flows:
             # Any flow on the channel seeds the component walk; the walk
@@ -427,9 +442,6 @@ class FluidNetwork:
             self._recompute_component(f, now)
         return victims
 
-    def _capacity(self, r: Resource) -> float:
-        return self._port_cap if r[0] in ("inj", "ej") else self._chan_cap
-
     def _component(self, seed: Flow) -> List[Flow]:
         """All active flows transitively sharing a resource with ``seed``.
 
@@ -453,7 +465,8 @@ class FluidNetwork:
                 f = flow_stack.pop()
                 comp.append(f)
                 for rid in f.route:
-                    if rstamp[rid] != stamp:
+                    # a resource whose only flow is ``f`` adds no flow
+                    if rstamp[rid] != stamp and len(res_flows[rid]) > 1:
                         res_stack.append(rid)
             else:
                 rid = res_stack.pop()
@@ -509,14 +522,23 @@ class FluidNetwork:
 
         # Progressive filling (max-min fairness).  Only the resources
         # used by component flows matter; by construction no flow
-        # outside the component crosses them.  Two interchangeable inner
-        # loops compute the same rates bit-for-bit: the vectorized one
-        # wins once the component carries enough flows, the scalar one
-        # below the crossover (and always under REPRO_SIM_SCALAR=1).
-        if self._vec and len(comp) >= self._vec_min:
-            self._fill_vectorized(comp)
+        # outside the component crosses them.  The rates depend only on
+        # the ordered routes and the capacities, so a component seen
+        # before reuses its stored rates.  Otherwise two interchangeable
+        # inner loops compute the same rates bit-for-bit: the vectorized
+        # one wins once the component carries enough flows, the scalar
+        # one below the crossover (and always under REPRO_SIM_SCALAR=1).
+        key = tuple([f.route for f in comp])
+        rates = self._fill_memo.get(key)
+        if rates is not None:
+            for f, r in zip(comp, rates):
+                f.rate = r
         else:
-            self._fill_scalar(comp)
+            if self._vec and len(comp) >= self._vec_min:
+                self._fill_vectorized(comp)
+            else:
+                self._fill_scalar(comp)
+            self._fill_memo[key] = [f.rate for f in comp]
 
         # Reschedule completion events at the new rates.
         for f in comp:

@@ -6,7 +6,13 @@ switches change dispatch or the simulator's inner loop.  Any of them
 would make a test's outcome depend on the machine it runs on, so the
 whole session sees an empty temporary profile store and none of the
 switches.  Tests that want a profile or a switch set their own.
+
+``--shuffle-seed N`` runs the test modules in an order drawn from ``N``
+(tests inside a module keep their order), so a module that only passes
+after another one has run shows up.
 """
+
+import random
 
 import pytest
 
@@ -23,3 +29,21 @@ def _hermetic_env(tmp_path_factory):
         mp.delenv(name, raising=False)
     yield
     mp.undo()
+
+
+def pytest_addoption(parser):
+    parser.addoption("--shuffle-seed", type=int, default=None,
+                     help="run test modules in an order shuffled by this "
+                          "seed")
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--shuffle-seed")
+    if seed is None:
+        return
+    modules = {}
+    for item in items:
+        modules.setdefault(item.nodeid.split("::", 1)[0], []).append(item)
+    order = list(modules)
+    random.Random(seed).shuffle(order)
+    items[:] = [item for name in order for item in modules[name]]

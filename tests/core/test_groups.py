@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import classify
-from repro.core.groups import GroupStructure
-from repro.sim import Hypercube, LinearArray, Mesh2D
+from repro.core.groups import GroupStructure, _classify_mesh
+from repro.sim import Hypercube, LinearArray, Mesh2D, Torus2D
 
 
 class TestLinearArrayGroups:
@@ -87,3 +87,33 @@ class TestOtherTopologies:
         assert classify([0, 1, 2, 3], h).kind == "contiguous"
         assert classify([0, 2, 4, 6], h).kind == "strided"
         assert classify([0, 3, 5], h).kind == "unstructured"
+
+
+class TestMeshClassifyMemo:
+    """Mesh classification is cached on the topology object."""
+
+    def test_repeated_calls_agree(self):
+        mesh = Mesh2D(4, 8)
+        groups = [list(range(8)), [2, 10, 18, 26], [9, 10, 17, 18],
+                  [0, 3, 5], [0, 2, 4, 6]]
+        first = [classify(g, mesh) for g in groups]
+        assert [classify(g, mesh) for g in groups] == first
+        assert [classify(tuple(g), mesh) for g in groups] == first
+        assert first == [_classify_mesh(g, mesh) for g in groups]
+
+    def test_shapes_do_not_share_entries(self):
+        nodes = (0, 1, 2, 3)
+        square, row, col = Mesh2D(2, 2), Mesh2D(1, 4), Mesh2D(4, 1)
+        for _ in range(2):
+            assert classify(nodes, square) == GroupStructure(
+                "submesh", 1, shape=(2, 2))
+            assert classify(nodes, row) == GroupStructure(
+                "row", 1, shape=(1, 4))
+            assert classify(nodes, col) == GroupStructure(
+                "col", 1, shape=(4, 1))
+
+    def test_torus_is_memoized_too(self):
+        torus = Torus2D(4, 4)
+        s = classify([4, 5, 6, 7], torus)
+        assert s == GroupStructure("row", 1, shape=(1, 4))
+        assert classify([4, 5, 6, 7], torus) is s

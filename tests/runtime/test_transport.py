@@ -8,6 +8,7 @@ the collective algorithms.
 
 import gc
 import multiprocessing
+import socket
 import struct
 import sys
 import threading
@@ -17,7 +18,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.runtime import ProcessMachine, RankError, RankTransport
+from repro.runtime import (ProcessMachine, RankError, RankTransport,
+                           TcpMesh)
 from repro.runtime.env import ProcessEnv
 
 
@@ -221,6 +223,29 @@ class TestRankTransport:
         ta.flush_and_close()
         got = _recv_all(tb, 10)
         assert [p for _, _, p in got] == list(range(10))
+
+
+class TestTcpTransport:
+    def test_tcp_sockets_disable_nagle(self):
+        """Small frames after a partial write must not wait for the
+        peer's delayed ACK."""
+        rendezvous = TcpMesh.make_rendezvous(2)
+        got = {}
+        peer = threading.Thread(target=lambda: got.setdefault(
+            1, TcpMesh.connect(1, [0, 1], rendezvous.address)))
+        peer.start()
+        got[0] = TcpMesh.connect(0, [0, 1], rendezvous.address,
+                                 rendezvous_listener=rendezvous)
+        peer.join(timeout=10)
+        assert not peer.is_alive()
+        _OPEN.extend((got[0], got[1]))
+        for tr in got.values():
+            for p in tr._peers.values():
+                assert p.sock.family == socket.AF_INET
+                assert p.sock.getsockopt(socket.IPPROTO_TCP,
+                                         socket.TCP_NODELAY)
+        got[0].send(1, 7, "ping")
+        assert _recv_all(got[1], 1) == [(0, 7, "ping")]
 
 
 class TestEnvMatching:

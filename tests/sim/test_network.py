@@ -317,3 +317,70 @@ class TestFloatDriftClamp:
         run = m.run(prog)
         assert run.messages == len(sends)
         assert run.events <= 20 * run.messages + 4 * 10
+
+
+class TestFillMemo:
+    """Progressive-filling results are reused per component.
+
+    The memo key is the component's ordered routes; the stored rates
+    must be exactly what a fresh fill over the current capacities
+    gives, whatever order the flows were inserted on each resource.
+    """
+
+    #: rightward transfers on LinearArray(8) that form one component
+    SENDS = [(0, 5), (1, 4), (2, 7), (3, 6), (1, 3), (4, 6)]
+
+    def _net(self, slow=()):
+        net = FluidNetwork(LinearArray(8), UNIT, lambda t, cb: None)
+        for s, d in self.SENDS:
+            net._intern_route(s, d)
+        for u, v, factor in slow:
+            net.apply_slowdown(u, v, factor, 0.0)
+        flows = [net.start_flow(s, d, 1000.0, 0.0, None)
+                 for s, d in self.SENDS]
+        # the component as the last start walked it
+        comp = net._component(flows[-1])
+        assert len(comp) == len(flows)
+        return net, flows, comp
+
+    def test_slowdown_recomputes_instead_of_reusing(self):
+        net, flows, comp = self._net()
+        before = [f.rate for f in flows]
+        assert net._fill_memo[tuple(f.route for f in comp)] == \
+            [f.rate for f in comp]
+        net.apply_slowdown(3, 4, 3.0, 0.0)
+        # walk the component in its first order again: the entry stored
+        # before the slowdown must not come back
+        net._recompute_component(flows[-1], 0.0)
+        _, fresh, _ = self._net(slow=[(3, 4, 3.0)])
+        after = [f.rate for f in flows]
+        assert after == [f.rate for f in fresh]
+        assert after != before
+        # restoring the channel brings the original rates back
+        net.apply_slowdown(3, 4, None, 0.0)
+        net._recompute_component(flows[-1], 0.0)
+        assert [f.rate for f in flows] == before
+
+    @pytest.mark.parametrize("fill", ["_fill_scalar", "_fill_vectorized"])
+    def test_hit_matches_direct_fill_in_any_insertion_order(
+            self, fill, monkeypatch):
+        net, flows, comp = self._net(slow=[(1, 2, 5.0), (3, 4, 3.0)])
+        stored = list(net._fill_memo[tuple(f.route for f in comp)])
+        # reverse each resource's flow order, then fill directly
+        for rid, on in enumerate(net._res_flows):
+            net._res_flows[rid] = dict.fromkeys(reversed(list(on)))
+        for f in comp:
+            f.rate = -1.0
+        getattr(net, fill)(comp)
+        direct = [f.rate for f in comp]
+        assert direct == stored
+        assert len(set(direct)) > 2
+        # a recomputation of the same component is a hit: no fill runs
+        for name in ("_fill_scalar", "_fill_vectorized"):
+            monkeypatch.setattr(net, name, None)
+        for f in comp:
+            f.rate = -1.0
+        recomputations = net.rate_recomputations
+        net._recompute_component(flows[-1], 0.0)
+        assert net.rate_recomputations == recomputations + 1
+        assert [f.rate for f in comp] == direct
